@@ -34,6 +34,12 @@ pub enum BanditError {
         /// Offending reward value.
         reward: f64,
     },
+    /// Summed sufficient statistics handed to a decoder held a NaN or
+    /// infinite coordinate.
+    NonFiniteStatistics {
+        /// Arm whose statistics were not finite.
+        arm: usize,
+    },
     /// An underlying linear-algebra operation failed.
     Linalg(LinalgError),
 }
@@ -57,6 +63,9 @@ impl fmt::Display for BanditError {
             ),
             BanditError::InvalidReward { reward } => {
                 write!(f, "reward {reward} outside the [0, 1] range")
+            }
+            BanditError::NonFiniteStatistics { arm } => {
+                write!(f, "arm {arm}: sufficient statistics are not finite")
             }
             BanditError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }

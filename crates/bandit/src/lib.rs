@@ -6,6 +6,8 @@
 //! * the [`ContextualPolicy`] trait shared by every policy,
 //! * [`LinUcb`], the disjoint-arm LinUCB implementation used throughout the
 //!   paper's experiments,
+//! * [`StatisticsCodec`], the per-arm sufficient-statistics leaf codec the
+//!   central-DP and secure-aggregation trust models publish through,
 //! * baselines used for comparison and ablation: [`EpsilonGreedy`],
 //!   [`Ucb1`] (context-free), [`LinearThompsonSampling`] and
 //!   [`RandomPolicy`],
@@ -32,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod codec;
 mod epsilon_greedy;
 mod error;
 mod linucb;
@@ -41,6 +44,7 @@ mod thompson;
 mod tracker;
 mod ucb1;
 
+pub use codec::StatisticsCodec;
 pub use epsilon_greedy::{EpsilonGreedy, EpsilonGreedyConfig};
 pub use error::BanditError;
 pub use linucb::{

@@ -58,7 +58,7 @@ impl LinUcbConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), BanditError> {
+    pub(crate) fn validate(&self) -> Result<(), BanditError> {
         if self.context_dimension == 0 {
             return Err(BanditError::InvalidConfig {
                 parameter: "context_dimension",
@@ -276,8 +276,8 @@ impl IngestScratch {
     }
 
     /// Arm indices touched by the most recent [`LinUcb::update_batch_with`]
-    /// call, in order of first touch. This is how ingest shards report their
-    /// dirty-arm sets for incremental epoch assembly.
+    /// call, in order of first touch. This is how the model service tracks
+    /// its dirty arms for incremental epoch assembly.
     #[must_use]
     pub fn touched(&self) -> &[usize] {
         &self.touched
@@ -482,7 +482,6 @@ impl LinUcb {
         }
         let d = config.context_dimension;
         let mut arms = Vec::with_capacity(statistics.len());
-        let mut observations = 0u64;
         for (idx, stats) in statistics.iter().enumerate() {
             if stats.design.rows() != d || stats.design.cols() != d {
                 return Err(BanditError::InvalidConfig {
@@ -503,20 +502,47 @@ impl LinUcb {
                     ),
                 });
             }
-            arms.push(Arc::new(Arm {
-                inverse: RankOneInverse::from_matrix(&stats.design)?,
-                reward_vector: stats.reward_vector.clone(),
-                pulls: stats.pulls,
-            }));
-            observations += stats.pulls;
+            arms.push((
+                RankOneInverse::from_matrix(&stats.design)?,
+                stats.reward_vector.clone(),
+                stats.pulls,
+            ));
         }
-        let arena = Arc::new(ScoreArena::new(config.num_actions, d)?);
+        Self::from_factored_arms(config, arms)
+    }
+
+    /// Builds a policy from already-factored per-arm statistics
+    /// `(A_a⁻¹, b_a, pulls)`, one entry per arm in action order. The
+    /// configuration and shapes are the caller's responsibility; this is the
+    /// shared tail of [`LinUcb::from_sufficient_statistics`] and the
+    /// statistics codec's decode, which keeps the inverse its SPD probe
+    /// already computed instead of factorizing the design a second time.
+    pub(crate) fn from_factored_arms(
+        config: LinUcbConfig,
+        factored: Vec<(RankOneInverse, Vector, u64)>,
+    ) -> Result<Self, BanditError> {
+        let mut observations = 0u64;
+        let arms = factored
+            .into_iter()
+            .map(|(inverse, reward_vector, pulls)| {
+                observations += pulls;
+                Arc::new(Arm {
+                    inverse,
+                    reward_vector,
+                    pulls,
+                })
+            })
+            .collect();
+        let arena = Arc::new(ScoreArena::new(
+            config.num_actions,
+            config.context_dimension,
+        )?);
         let mut policy = Self {
             config,
             arms,
             observations,
             arena,
-            theta_scratch: vec![0.0; d],
+            theta_scratch: vec![0.0; config.context_dimension],
         };
         for idx in 0..policy.config.num_actions {
             policy.sync_arm(idx)?;
@@ -735,8 +761,8 @@ impl LinUcb {
     /// amortized over all of a batch's folds into the same arm.
     ///
     /// After the call, [`IngestScratch::touched`] lists the arms this batch
-    /// mutated (in order of first touch) — the dirty set ingest shards report
-    /// for incremental epoch assembly.
+    /// mutated (in order of first touch) — the dirty set the model service
+    /// tracks for incremental epoch assembly.
     ///
     /// # Errors
     ///

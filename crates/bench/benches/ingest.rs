@@ -65,9 +65,8 @@ fn bench_ingest(c: &mut Criterion) {
     // 32 codes → ~3x reuse; 8 codes → ~13x reuse (the post-threshold regime).
     for &codes in &[32usize, 8] {
         let shuffled = batch(codes);
-        // Each iteration folds one batch AND assembles the epoch snapshot:
-        // assembly synchronizes with every ingest shard, so the timing
-        // covers the actual model work, not just the dispatch.
+        // Each iteration folds one batch AND assembles the epoch snapshot,
+        // so the timing covers publication as well as the fold.
         group.bench_with_input(
             BenchmarkId::new("sequential", format!("codes{codes}")),
             &shuffled,
@@ -80,20 +79,18 @@ fn bench_ingest(c: &mut Criterion) {
                 });
             },
         );
-        for &shards in &[1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("coalesced_s{shards}"), format!("codes{codes}")),
-                &shuffled,
-                |b, shuffled| {
-                    let config = P2bConfig::new(DIMENSION, ACTIONS).with_ingest_shards(shards);
-                    let mut server = CentralServer::new(&config, Arc::clone(&encoder)).unwrap();
-                    b.iter(|| {
-                        server.ingest_batch_coalesced(shuffled).unwrap();
-                        server.model().unwrap().observations()
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("coalesced", format!("codes{codes}")),
+            &shuffled,
+            |b, shuffled| {
+                let config = P2bConfig::new(DIMENSION, ACTIONS);
+                let mut server = CentralServer::new(&config, Arc::clone(&encoder)).unwrap();
+                b.iter(|| {
+                    server.ingest_batch_coalesced(shuffled).unwrap();
+                    server.model().unwrap().observations()
+                });
+            },
+        );
     }
     group.finish();
 }

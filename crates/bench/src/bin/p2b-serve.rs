@@ -14,7 +14,7 @@
 //! ```
 //!
 //! * `--mode` picks the subsystem slice; `full` (the default) runs the
-//!   closed loop, the other three are the absorbed `throughput` parts.
+//!   closed loop, the other three run one subsystem slice each.
 //! * `--quick` forces the CI smoke scale (equivalent to `P2B_SCALE=quick`).
 //! * `--summary PATH` additionally writes the *redacted* report — the
 //!   worker-count-invariant deterministic summary with all wall-clock

@@ -47,10 +47,9 @@
 //! but excluded from the summary; [`ServeReport::redacted`] zeroes them for
 //! golden comparisons.
 //!
-//! The legacy `throughput` binary's three ad-hoc parts live on as
-//! [`ServeMode::Ingest`], [`ServeMode::Pool`] and [`ServeMode::Select`],
-//! re-based onto the same arrival process so every subsystem is benchmarked
-//! on identical skewed traffic.
+//! Three subsystem slices run as [`ServeMode::Ingest`], [`ServeMode::Pool`]
+//! and [`ServeMode::Select`], on the same arrival process so every
+//! subsystem is benchmarked on identical skewed traffic.
 
 use crate::failure::BenchFailure;
 use crate::histogram::{LatencyHistogram, LatencySummary};
@@ -95,12 +94,12 @@ const LANE_LEGACY_REWARD: u64 = LANE_CONSUMER_BASE + 6;
 /// Which subsystem slice of the harness to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Single-decision LinUCB select throughput (legacy `--select`).
+    /// Single-decision LinUCB select throughput.
     Select,
-    /// Shuffler-engine shard scaling + central-model ingest scaling (the
-    /// legacy default parts).
+    /// Shuffler-engine shard scaling, central-model ingest, model update,
+    /// epoch assembly and secure-aggregation stages.
     Ingest,
-    /// Bounded agent-pool serving throughput (legacy `--pool`).
+    /// Bounded agent-pool serving throughput.
     Pool,
     /// The closed-loop service: everything at once, with SLOs.
     Full,
@@ -128,20 +127,6 @@ impl ServeMode {
             ServeMode::Pool => "pool",
             ServeMode::Full => "full",
         }
-    }
-}
-
-/// Maps the legacy `throughput` binary's part-selection flags onto harness
-/// modes: `--pool` and `--select` run only their part, no flag runs the
-/// historical default sequence (engine+ingest, then pool, then select).
-#[must_use]
-pub fn legacy_throughput_modes(args: &[String]) -> Vec<ServeMode> {
-    if args.iter().any(|a| a == "--pool") {
-        vec![ServeMode::Pool]
-    } else if args.iter().any(|a| a == "--select") {
-        vec![ServeMode::Select]
-    } else {
-        vec![ServeMode::Ingest, ServeMode::Pool, ServeMode::Select]
     }
 }
 
@@ -1026,9 +1011,8 @@ pub fn print_full_report(report: &ServeReport) {
 }
 
 // ────────────────────────────────────────────────────────────────────────
-// Legacy subsystem modes (the absorbed `throughput` parts), re-based onto
-// the shared arrival process so every subsystem sees the same skewed
-// traffic shape.
+// Subsystem modes (ingest, pool, select), on the shared arrival process so
+// every subsystem sees the same skewed traffic shape.
 // ────────────────────────────────────────────────────────────────────────
 
 /// Producer threads submitting concurrently in every legacy configuration.
@@ -1261,21 +1245,18 @@ fn ingest_batches(num_codes: usize, batch_size: usize, batches: usize) -> Vec<Sh
         .collect()
 }
 
+#[derive(Clone, Copy)]
 enum IngestMode {
     Sequential,
-    Coalesced { ingest_shards: usize },
+    Coalesced,
 }
 
 fn run_ingest(
-    mode: &IngestMode,
+    mode: IngestMode,
     encoder: &Arc<dyn Encoder>,
     batches: &[ShuffledBatch],
 ) -> (f64, u64) {
-    let shards = match mode {
-        IngestMode::Sequential => 1,
-        IngestMode::Coalesced { ingest_shards } => *ingest_shards,
-    };
-    let config = P2bConfig::new(DIMENSION, ACTIONS).with_ingest_shards(shards);
+    let config = P2bConfig::new(DIMENSION, ACTIONS);
     let mut server =
         CentralServer::new(&config, Arc::clone(encoder)).expect("static configuration is valid");
     let start = Instant::now();
@@ -1283,12 +1264,11 @@ fn run_ingest(
     for batch in batches {
         accepted += match mode {
             IngestMode::Sequential => server.ingest_batch(batch),
-            IngestMode::Coalesced { .. } => server.ingest_batch_coalesced(batch),
+            IngestMode::Coalesced => server.ingest_batch_coalesced(batch),
         }
         .expect("well-formed batches ingest cleanly");
     }
-    // Synchronize with the ingest shards: assembling the model waits for
-    // every dispatched update to be folded, so the timing covers the work.
+    // The timing covers the epoch assembly that publishes the folds.
     let model = server.model().expect("assembly succeeds");
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(model.observations(), accepted, "no update may be lost");
@@ -1361,17 +1341,16 @@ fn time_update_path(
 /// Times `epochs` sparse flush cycles against a [`ModelService`]: each
 /// epoch folds one single-report update into one arm and re-assembles the
 /// served model, either from scratch (the preserved reference) or
-/// incrementally over the dirty-arm union. Returns the wall time and the
-/// final model's digest.
+/// incrementally over the dirty arms. Returns the wall time and the final
+/// model's digest.
 fn time_assemble_path(
     dimension: usize,
     actions: usize,
-    shards: usize,
     epochs: usize,
     incremental: bool,
 ) -> (f64, u64) {
-    let mut service = ModelService::spawn(LinUcbConfig::new(dimension, actions), shards)
-        .expect("static shapes are valid");
+    let mut service =
+        ModelService::new(LinUcbConfig::new(dimension, actions)).expect("static shapes are valid");
     let mut rng = StdRng::seed_from_u64(71);
     let sparse_update = |arm: usize, rng: &mut StdRng| {
         let raw: Vec<f64> = (0..dimension).map(|_| rng.gen_range(0.0f64..1.0)).collect();
@@ -1385,14 +1364,12 @@ fn time_assemble_path(
     let warm: Vec<CoalescedUpdate> = (0..actions)
         .map(|arm| sparse_update(arm, &mut rng))
         .collect();
-    service.ingest(warm).expect("service threads are healthy");
+    service.ingest(&warm).expect("updates are well-formed");
     let mut model = service.assemble_with_dirty().expect("assembly succeeds").0;
     let start = Instant::now();
     for epoch in 0..epochs {
         let update = sparse_update(epoch % actions, &mut rng);
-        service
-            .ingest(vec![update])
-            .expect("service threads are healthy");
+        service.ingest(&[update]).expect("updates are well-formed");
         model = if incremental {
             service.assemble_with_dirty().expect("assembly succeeds").0
         } else {
@@ -1497,16 +1474,14 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     let batches = ingest_batches(ingest_codes, ingest_batch_size, ingest_batch_count);
     // Warm-up.
     let _ = run_ingest(
-        &IngestMode::Sequential,
+        IngestMode::Sequential,
         &encoder,
         &batches[..1.min(batches.len())],
     );
 
-    let modes: [(&str, IngestMode); 4] = [
+    let modes = [
         ("sequential", IngestMode::Sequential),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 1 }),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 2 }),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 4 }),
+        ("coalesced", IngestMode::Coalesced),
     ];
     println!(
         "\n{:>12} {:>7} {:>10} {:>14} {:>9}",
@@ -1514,45 +1489,29 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     );
     let mut ingest_baseline = None;
     let mut digest_records = Vec::new();
-    let mut coalesced_digest: Option<u64> = None;
-    for (name, mode) in &modes {
+    for (name, mode) in modes {
         let (wall_secs, digest) = run_ingest(mode, &encoder, &batches);
         let rate = ingest_total as f64 / wall_secs;
         let baseline_rate = *ingest_baseline.get_or_insert(rate);
         let speedup = rate / baseline_rate;
-        let shards = match mode {
-            IngestMode::Sequential => 1,
-            IngestMode::Coalesced { ingest_shards } => *ingest_shards,
-        };
-        if let IngestMode::Coalesced { .. } = mode {
-            // Shard-count invariance: the dirty-arm merge is deterministic,
-            // so every coalesced shard count must land on the same model.
-            let expected = *coalesced_digest.get_or_insert(digest);
-            if digest != expected {
-                return Err(BenchFailure::InvariantViolation(format!(
-                    "coalesced ingest diverged across shard counts \
-                     (shards = {shards}: {digest:016x} != {expected:016x})"
-                )));
-            }
-        }
         digest_records.push(IngestDigestRecord {
             stage: "ingest".to_owned(),
-            mode: (*name).to_owned(),
-            shards,
+            mode: name.to_owned(),
+            shards: 1,
             digest: format!("{digest:016x}"),
         });
         println!(
             "{:>12} {:>7} {:>10.1} {:>14.0} {:>8.2}x",
             name,
-            shards,
+            1,
             wall_secs * 1e3,
             rate,
             speedup
         );
         records.push(BenchRecord {
             stage: "ingest".to_owned(),
-            mode: (*name).to_owned(),
-            shards,
+            mode: name.to_owned(),
+            shards: 1,
             dimension: DIMENSION,
             actions: ACTIONS,
             batch_size: ingest_batch_size,
@@ -1679,61 +1638,55 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
         "\n{:>12} {:>7} {:>10} {:>14} {:>9}",
         "path", "shards", "wall (ms)", "epochs/s", "speedup"
     );
-    let mut best_assemble = 0.0f64;
-    for shards in [1usize, 4] {
-        // Warm-up at a fraction of the epoch count.
-        let _ = time_assemble_path(
-            DIMENSION,
-            assemble_actions,
-            shards,
-            (assemble_epochs / 8).max(1),
-            false,
+    // Warm-up at a fraction of the epoch count.
+    let _ = time_assemble_path(
+        DIMENSION,
+        assemble_actions,
+        (assemble_epochs / 8).max(1),
+        false,
+    );
+    let (ref_wall, ref_digest) =
+        time_assemble_path(DIMENSION, assemble_actions, assemble_epochs, false);
+    let (inc_wall, inc_digest) =
+        time_assemble_path(DIMENSION, assemble_actions, assemble_epochs, true);
+    // Incremental assembly must serve the exact bits of the rebuild.
+    if ref_digest != inc_digest {
+        return Err(BenchFailure::InvariantViolation(format!(
+            "incremental assembly diverged from the from-scratch rebuild \
+             ({inc_digest:016x} != {ref_digest:016x})"
+        )));
+    }
+    for (path, wall) in [("from_scratch", ref_wall), ("incremental", inc_wall)] {
+        let speedup = ref_wall / wall;
+        println!(
+            "{:>12} {:>7} {:>10.1} {:>14.0} {:>8.2}x",
+            path,
+            1,
+            wall * 1e3,
+            assemble_epochs as f64 / wall,
+            speedup
         );
-        let (ref_wall, ref_digest) =
-            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs, false);
-        let (inc_wall, inc_digest) =
-            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs, true);
-        // Incremental assembly must serve the exact bits of the rebuild.
-        if ref_digest != inc_digest {
-            return Err(BenchFailure::InvariantViolation(format!(
-                "incremental assembly diverged from the from-scratch rebuild \
-                 (shards = {shards}: {inc_digest:016x} != {ref_digest:016x})"
-            )));
-        }
-        for (path, wall) in [("from_scratch", ref_wall), ("incremental", inc_wall)] {
-            let speedup = ref_wall / wall;
-            println!(
-                "{:>12} {:>7} {:>10.1} {:>14.0} {:>8.2}x",
-                path,
-                shards,
-                wall * 1e3,
-                assemble_epochs as f64 / wall,
-                speedup
-            );
-            if path == "incremental" {
-                best_assemble = best_assemble.max(speedup);
-            }
-            records.push(BenchRecord {
-                stage: "assemble".to_owned(),
-                mode: path.to_owned(),
-                shards,
-                dimension: DIMENSION,
-                actions: assemble_actions,
-                batch_size: 1,
-                reports: assemble_epochs,
-                batches: assemble_epochs,
-                wall_secs: wall,
-                reports_per_sec: assemble_epochs as f64 / wall,
-                speedup,
-            });
-        }
-        digest_records.push(IngestDigestRecord {
+        records.push(BenchRecord {
             stage: "assemble".to_owned(),
-            mode: "sparse_flush".to_owned(),
-            shards,
-            digest: format!("{ref_digest:016x}"),
+            mode: path.to_owned(),
+            shards: 1,
+            dimension: DIMENSION,
+            actions: assemble_actions,
+            batch_size: 1,
+            reports: assemble_epochs,
+            batches: assemble_epochs,
+            wall_secs: wall,
+            reports_per_sec: assemble_epochs as f64 / wall,
+            speedup,
         });
     }
+    digest_records.push(IngestDigestRecord {
+        stage: "assemble".to_owned(),
+        mode: "sparse_flush".to_owned(),
+        shards: 1,
+        digest: format!("{ref_digest:016x}"),
+    });
+    let best_assemble = ref_wall / inc_wall;
     println!(
         "\nbest incremental assembly speedup over the from-scratch rebuild: \
          {best_assemble:.2}x"
@@ -1958,7 +1911,7 @@ fn run_pool(budget: Option<usize>, shards: usize, keys: &[u64]) -> PoolRun {
     }
 }
 
-/// Legacy part 3: bounded agent-pool serving over the shared skewed arrival
+/// Bounded agent-pool serving over the shared skewed arrival
 /// stream, written to `BENCH_pool.json`.
 pub fn run_pool_mode(scale: Scale) {
     let cores = std::thread::available_parallelism()
@@ -2113,7 +2066,7 @@ where
     (start.elapsed().as_secs_f64(), std::hint::black_box(sink))
 }
 
-/// Legacy part 4: single-decision LinUCB select throughput across the three
+/// Single-decision LinUCB select throughput across the three
 /// scoring paths, written to `BENCH_select.json`.
 pub fn run_select_mode(scale: Scale) {
     let cores = std::thread::available_parallelism()
@@ -2274,28 +2227,6 @@ mod tests {
             assert_eq!(ServeMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(ServeMode::parse("bogus"), None);
-    }
-
-    #[test]
-    fn legacy_flags_map_to_modes() {
-        let args = |list: &[&str]| list.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--pool"])),
-            vec![ServeMode::Pool]
-        );
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--select"])),
-            vec![ServeMode::Select]
-        );
-        assert_eq!(
-            legacy_throughput_modes(&args(&[])),
-            vec![ServeMode::Ingest, ServeMode::Pool, ServeMode::Select]
-        );
-        // `--pool` wins when both are passed, matching the old binary.
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--pool", "--select"])),
-            vec![ServeMode::Pool]
-        );
     }
 
     #[test]

@@ -241,13 +241,19 @@ impl LocalAgent {
 
     /// The agent's policy for writing: promotes a shared snapshot to an
     /// owned copy (copy-on-write) on first use.
-    fn policy_mut(&mut self) -> &mut LinUcb {
+    ///
+    /// The error arm is unreachable after the promotion; it returns a typed
+    /// error rather than panicking.
+    fn policy_mut(&mut self) -> Result<&mut LinUcb, CoreError> {
         if let AgentPolicy::Shared(snapshot) = &self.policy {
             self.policy = AgentPolicy::Owned(snapshot.model().clone());
         }
         match &mut self.policy {
-            AgentPolicy::Owned(policy) => policy,
-            AgentPolicy::Shared(_) => unreachable!("promoted to Owned above"),
+            AgentPolicy::Owned(policy) => Ok(policy),
+            AgentPolicy::Shared(_) => Err(CoreError::InvalidConfig {
+                parameter: "local_agent",
+                message: "shared policy was not promoted to an owned copy".to_owned(),
+            }),
         }
     }
 
@@ -311,7 +317,7 @@ impl LocalAgent {
     ) -> Result<(), CoreError> {
         let code = self.encoder.encode(raw_context)?;
         let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
-        self.policy_mut().update(&model_context, action, reward)?;
+        self.policy_mut()?.update(&model_context, action, reward)?;
         self.interactions += 1;
 
         let opportunities_before = self.reporter.opportunities();
@@ -345,7 +351,7 @@ impl LocalAgent {
     ///
     /// Returns [`CoreError::Bandit`] if the model shapes are incompatible.
     pub fn refresh_from(&mut self, central: &LinUcb) -> Result<(), CoreError> {
-        self.policy_mut().merge(central)?;
+        self.policy_mut()?.merge(central)?;
         Ok(())
     }
 

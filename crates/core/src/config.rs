@@ -91,13 +91,6 @@ pub struct P2bConfig {
     /// the shuffler gathers before shuffling, thresholding and releasing one
     /// batch to the central model.
     pub shuffler_batch_size: usize,
-    /// Number of ingest shards of the central model service
-    /// ([`crate::ModelService`]): worker threads that fold coalesced
-    /// sufficient statistics into the central LinUCB model, partitioned by
-    /// action (disjoint LinUCB arms are independent, so the partition is
-    /// exact). The default of 1 preserves the canonical single-worker
-    /// deployment; model snapshots are bit-identical at any shard count.
-    pub ingest_shards: usize,
     /// How encoded codes are represented when training the central model.
     pub code_representation: CodeRepresentation,
     /// Constant Ω of the δ bound (Gehrke et al. 2012); only affects reporting
@@ -119,7 +112,6 @@ impl P2bConfig {
             shuffler_threshold: 10,
             shuffler_shards: 1,
             shuffler_batch_size: 128,
-            ingest_shards: 1,
             code_representation: CodeRepresentation::Centroid,
             delta_omega: 0.1,
         }
@@ -157,13 +149,6 @@ impl P2bConfig {
     #[must_use]
     pub fn with_shuffler_batch_size(mut self, batch_size: usize) -> Self {
         self.shuffler_batch_size = batch_size;
-        self
-    }
-
-    /// Sets the number of ingest shards of the central model service.
-    #[must_use]
-    pub fn with_ingest_shards(mut self, ingest_shards: usize) -> Self {
-        self.ingest_shards = ingest_shards;
         self
     }
 
@@ -228,12 +213,6 @@ impl P2bConfig {
         if self.shuffler_batch_size == 0 {
             return Err(CoreError::InvalidConfig {
                 parameter: "shuffler_batch_size",
-                message: "must be at least 1".to_owned(),
-            });
-        }
-        if self.ingest_shards == 0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "ingest_shards",
                 message: "must be at least 1".to_owned(),
             });
         }
@@ -304,7 +283,6 @@ mod tests {
         // Scaling knobs default to the canonical single-lane deployment.
         assert_eq!(cfg.shuffler_shards, 1);
         assert_eq!(cfg.shuffler_batch_size, 128);
-        assert_eq!(cfg.ingest_shards, 1);
         assert_eq!(cfg.code_representation, CodeRepresentation::Centroid);
         assert!(cfg.validate().is_ok());
     }
@@ -339,13 +317,8 @@ mod tests {
             .validate()
             .is_err());
         assert!(P2bConfig::new(5, 5)
-            .with_ingest_shards(0)
-            .validate()
-            .is_err());
-        assert!(P2bConfig::new(5, 5)
             .with_shuffler_shards(8)
             .with_shuffler_batch_size(256)
-            .with_ingest_shards(4)
             .validate()
             .is_ok());
     }

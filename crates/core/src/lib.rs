@@ -13,9 +13,9 @@
 //! [`P2bSystem::privacy_guarantee`] from the participation probability and
 //! the shuffler threshold, following Section 4 of the paper.
 //!
-//! The central model is owned by a sharded [`ModelService`]: ingest workers
-//! partitioned by action fold coalesced sufficient statistics (one weighted
-//! update per distinct `(code, action)` pair in a batch) and the
+//! The central model is owned by the [`ModelService`], which folds coalesced
+//! sufficient statistics (one weighted update per distinct `(code, action)`
+//! pair in a batch) in the caller's thread, and the
 //! [`CentralServer`] publishes epoch-versioned [`ModelSnapshot`]s behind an
 //! `Arc` that all warm starts of an epoch share. Two ingestion paths feed
 //! the service:

@@ -7,21 +7,21 @@
 //! lifecycle around it:
 //!
 //! ```text
-//!   CoalescedUpdate (x, a, n, s) ──▶ leaf [n·vec(xxᵀ) | s·x | n]
+//!   CoalescedUpdate (x, a, n, s) ──▶ StatisticsCodec::encode [n·vec(xxᵀ) | s·x | n]
 //!                                          │ fixed-point encode + split
 //!                                          ▼
 //!                            k aggregator shards (shares only)
 //!                                          │ finish() at epoch boundary
 //!                                          ▼
 //!               recombined i128 sums ──▶ cumulative totals (wrapping Σ)
-//!                                          │ decode + λI ridge
+//!                                          │ fixed-point decode
 //!                                          ▼
-//!                    LinUcb::from_sufficient_statistics (published model)
+//!                    StatisticsCodec::decode (published model)
 //! ```
 //!
-//! The leaf layout matches the central-DP curator's
-//! (`[vec(x xᵀ) | r·x | 1]`, dimension `d² + d + 1`), weighted by the
-//! coalesced group: a group of `n` reports sharing context `x` with reward
+//! The leaf layout is the [`StatisticsCodec`]'s, shared with the central-DP
+//! curator (`[vec(x xᵀ) | r·x | 1]`, dimension `d² + d + 1`), weighted by
+//! the coalesced group: a group of `n` reports sharing context `x` with reward
 //! sum `s` contributes `n·x xᵀ` to the Gram block, `s·x` to the reward
 //! block and `n` to the pull counter — exactly the sum of its `n`
 //! per-report leaves, in one submission.
@@ -31,12 +31,11 @@
 //! counts, submission interleavings and mask seeds. Epoch totals accumulate
 //! with the same wrapping addition, so multi-epoch assembly keeps the
 //! guarantee. `xᵢxⱼ` and `xⱼxᵢ` are the same `f64` product and encode to
-//! the same fixed-point word, so the decoded Gram block is symmetric
-//! without a repair pass.
+//! the same fixed-point word, so the decoded Gram block is exactly
+//! symmetric and the codec's symmetrize step leaves it bit-unchanged.
 
 use crate::CoreError;
-use p2b_bandit::{ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
-use p2b_linalg::{Matrix, Vector};
+use p2b_bandit::{CoalescedUpdate, LinUcb, LinUcbConfig, StatisticsCodec};
 use p2b_privacy::decode_fixed;
 use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 
@@ -73,7 +72,7 @@ use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 /// ```
 #[derive(Debug)]
 pub struct SecureIngestService {
-    config: LinUcbConfig,
+    codec: StatisticsCodec,
     engine: SecureAggEngine,
     handle: SecureAggHandle,
     /// Cumulative recombined fixed-point sums, `num_actions × (d² + d + 1)`,
@@ -95,14 +94,14 @@ impl SecureIngestService {
     /// Returns [`CoreError::Shuffler`] when `shards` is zero or the engine
     /// configuration is otherwise degenerate.
     pub fn new(config: LinUcbConfig, shards: usize, seed: u64) -> Result<Self, CoreError> {
-        let d = config.context_dimension;
-        let leaf_dimension = d * d + d + 1;
+        let codec = StatisticsCodec::new(config)?;
+        let leaf_dimension = codec.leaf_dimension();
         let engine = SecureAggEngine::builder(config.num_actions, leaf_dimension)
             .shards(shards)
             .build()?;
         let handle = engine.spawn(epoch_seed(seed, 0));
         Ok(Self {
-            config,
+            codec,
             totals: vec![0i128; config.num_actions * leaf_dimension],
             engine,
             handle,
@@ -152,7 +151,7 @@ impl SecureIngestService {
     /// [`CoreError::Shuffler`] when a leaf coordinate falls outside the
     /// fixed-point range or the engine has shut down.
     pub fn ingest(&mut self, update: &CoalescedUpdate) -> Result<(), CoreError> {
-        let d = self.config.context_dimension;
+        let d = self.codec.config().context_dimension;
         let context = update.context();
         if context.len() != d {
             return Err(CoreError::EncoderMismatch {
@@ -160,19 +159,9 @@ impl SecureIngestService {
                 found: context.len(),
             });
         }
-        let norm = context.norm2();
-        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-        let count = update.count() as f64;
-        let reward_sum = update.reward_sum().clamp(0.0, count);
-        let mut leaf = vec![0.0f64; d * d + d + 1];
-        for i in 0..d {
-            let xi = context[i] * scale;
-            for j in 0..d {
-                leaf[i * d + j] = count * (xi * (context[j] * scale));
-            }
-            leaf[d * d + i] = reward_sum * xi;
-        }
-        leaf[d * d + d] = count;
+        let leaf = self
+            .codec
+            .encode(context, update.count(), update.reward_sum())?;
         self.handle.submit(update.action().index(), &leaf)?;
         self.ingested += 1;
         Ok(())
@@ -210,7 +199,7 @@ impl SecureIngestService {
         let handle = std::mem::replace(&mut self.handle, next);
         let output = handle.finish()?;
         let leaf_dimension = self.leaf_dimension();
-        for arm in 0..self.config.num_actions {
+        for arm in 0..self.codec.config().num_actions {
             let base = arm * leaf_dimension;
             let sums = output.arm_sums(arm)?;
             for (total, &sum) in self.totals[base..base + leaf_dimension]
@@ -239,59 +228,11 @@ impl SecureIngestService {
         hash
     }
 
-    /// Rebuilds the servable model from the cumulative totals: decode,
-    /// ridge-shift the Gram block and fold through
-    /// [`LinUcb::from_sufficient_statistics`].
+    /// Rebuilds the servable model from the cumulative totals: fixed-point
+    /// decode, then the statistics codec's ridge repair and fold.
     fn model_from_totals(&self) -> Result<LinUcb, CoreError> {
-        let d = self.config.context_dimension;
-        let leaf_dimension = self.leaf_dimension();
-        let mut statistics = Vec::with_capacity(self.config.num_actions);
-        for arm in 0..self.config.num_actions {
-            let base = arm * leaf_dimension;
-            let decoded: Vec<f64> = self.totals[base..base + leaf_dimension]
-                .iter()
-                .copied()
-                .map(decode_fixed)
-                .collect();
-            let mut gram = Matrix::zeros(d, d);
-            for i in 0..d {
-                for j in 0..d {
-                    gram.set(i, j, decoded[i * d + j]);
-                }
-            }
-            let reward_vector = Vector::from(decoded[d * d..d * d + d].to_vec());
-            let pulls = decoded[d * d + d].round().max(0.0) as u64;
-            // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI
-            // almost always suffices; the escalating shift mirrors the
-            // central curator's repair and terminates quickly if rounding
-            // ever tips an eigenvalue negative.
-            let mut boost = 0.0f64;
-            let statistics_for_arm = loop {
-                let mut design = gram.clone();
-                for i in 0..d {
-                    design.set(i, i, design.get(i, i) + self.config.regularizer + boost);
-                }
-                match p2b_linalg::RankOneInverse::from_matrix(&design) {
-                    Ok(_) => {
-                        break ArmStatistics {
-                            design,
-                            reward_vector: reward_vector.clone(),
-                            pulls,
-                        }
-                    }
-                    Err(e) if boost < 1e12 => {
-                        let _ = e;
-                        boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
-                    }
-                    Err(e) => return Err(CoreError::Linalg(e)),
-                }
-            };
-            statistics.push(statistics_for_arm);
-        }
-        Ok(LinUcb::from_sufficient_statistics(
-            self.config,
-            &statistics,
-        )?)
+        let sums: Vec<f64> = self.totals.iter().copied().map(decode_fixed).collect();
+        Ok(self.codec.decode(&sums)?)
     }
 }
 
@@ -305,11 +246,17 @@ fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2b_bandit::{Action, ContextualPolicy};
+    use p2b_bandit::{Action, ArmStatistics, ContextualPolicy};
+    use p2b_linalg::{Matrix, Vector};
 
     fn update(context: Vec<f64>, action: usize, count: u64, reward_sum: f64) -> CoalescedUpdate {
-        CoalescedUpdate::new(Vector::from(context), Action::new(action), count, reward_sum)
-            .unwrap()
+        CoalescedUpdate::new(
+            Vector::from(context),
+            Action::new(action),
+            count,
+            reward_sum,
+        )
+        .unwrap()
     }
 
     fn traffic() -> Vec<CoalescedUpdate> {
@@ -363,11 +310,11 @@ mod tests {
             let mut pulls = 0u64;
             for u in updates.iter().filter(|u| u.action().index() == arm) {
                 let n = u.count() as f64;
-                for i in 0..2 {
+                for (i, slot) in reward.iter_mut().enumerate() {
                     for j in 0..2 {
                         design.set(i, j, design.get(i, j) + n * u.context()[i] * u.context()[j]);
                     }
-                    reward[i] += u.reward_sum() * u.context()[i];
+                    *slot += u.reward_sum() * u.context()[i];
                 }
                 pulls += u.count();
             }

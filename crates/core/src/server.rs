@@ -1,5 +1,5 @@
 //! The central model server: validation, epoch bookkeeping and snapshot
-//! publication in front of the sharded [`ModelService`].
+//! publication in front of the [`ModelService`].
 
 use crate::coalesce::{Coalescer, CodeVectorCache};
 use crate::{CodeRepresentation, CoreError, ModelService, ModelSnapshot, P2bConfig};
@@ -14,11 +14,10 @@ use std::sync::Arc;
 /// shuffled, thresholded tuples `(y, a, r)` and folds them into a central
 /// LinUCB model that local agents use as their warm start.
 ///
-/// Since the model-service refactor the server is a facade: the model state
-/// lives on the [`ModelService`]'s ingest shards (partitioned by action),
+/// The server is a facade: the model state lives in the [`ModelService`],
 /// and the server's job is validation, code→vector memoization, epoch
 /// bookkeeping and the publication of epoch-versioned [`ModelSnapshot`]s.
-/// Two ingestion paths feed the shards:
+/// Two ingestion paths feed the service:
 ///
 /// * [`CentralServer::ingest_batch`] — per-report, in batch order, with the
 ///   context vector memoized per code. This is the reference path: its
@@ -48,8 +47,7 @@ pub struct CentralServer {
 }
 
 impl CentralServer {
-    /// Creates an empty central server, spawning its model service with
-    /// [`P2bConfig::ingest_shards`] ingest workers.
+    /// Creates an empty central server with an empty model service.
     ///
     /// # Errors
     ///
@@ -64,7 +62,7 @@ impl CentralServer {
             });
         }
         let model_config = config.central_linucb(encoder.as_ref());
-        let service = ModelService::spawn(model_config, config.ingest_shards)?;
+        let service = ModelService::new(model_config)?;
         Ok(Self {
             service,
             model_dimension: model_config.context_dimension,
@@ -91,13 +89,7 @@ impl CentralServer {
         self.epoch
     }
 
-    /// Number of ingest shards of the backing model service.
-    #[must_use]
-    pub fn ingest_shards(&self) -> usize {
-        self.service.shards()
-    }
-
-    /// The current central model, assembled from the ingest shards.
+    /// The current central model, assembled by the model service.
     ///
     /// Borrows from the epoch's cached snapshot; the first call per epoch
     /// pays one assembly, subsequent calls are free.
@@ -123,10 +115,9 @@ impl CentralServer {
 
     /// Ensures the epoch's snapshot exists and returns a borrow of it.
     ///
-    /// Since the incremental-assembly refactor the backing
-    /// [`ModelService::assemble`] re-merges only the arms dirtied since the
-    /// previous assembly, so the per-epoch refresh cost scales with how many
-    /// arms the epoch's flushes actually touched.
+    /// The backing [`ModelService::assemble`] re-merges only the arms
+    /// dirtied since the previous assembly, so the per-epoch refresh cost
+    /// scales with how many arms the epoch's flushes actually touched.
     fn refresh_snapshot(&mut self) -> Result<&Arc<ModelSnapshot>, CoreError> {
         if self.cached.is_none() {
             let model = self.service.assemble()?;
@@ -178,7 +169,7 @@ impl CentralServer {
             );
         }
         let accepted = updates.len() as u64;
-        self.service.ingest(updates)?;
+        self.service.ingest(&updates)?;
         self.mark_updated(accepted);
         Ok(accepted)
     }
@@ -203,7 +194,7 @@ impl CentralServer {
             self.num_actions,
             batch,
         )?;
-        self.service.ingest(coalesced.updates)?;
+        self.service.ingest(&coalesced.updates)?;
         self.mark_updated(coalesced.accepted);
         Ok(coalesced.accepted)
     }
@@ -244,7 +235,7 @@ impl CentralServer {
         }
         let update =
             CoalescedUpdate::new(context.clone(), action, 1, reward).map_err(CoreError::Bandit)?;
-        self.service.ingest(vec![update])?;
+        self.service.ingest(&[update])?;
         self.mark_updated(1);
         Ok(())
     }
@@ -388,8 +379,7 @@ mod tests {
             .collect();
         let cfg = P2bConfig::new(4, 2);
         let mut sequential = CentralServer::new(&cfg, encoder(5)).unwrap();
-        let mut coalesced =
-            CentralServer::new(&cfg.clone().with_ingest_shards(2), encoder(5)).unwrap();
+        let mut coalesced = CentralServer::new(&cfg, encoder(5)).unwrap();
         let b = batch(reports, 1, 9);
         let a1 = sequential.ingest_batch(&b).unwrap();
         let a2 = coalesced.ingest_batch_coalesced(&b).unwrap();
@@ -493,12 +483,5 @@ mod tests {
         let cfg = P2bConfig::new(4, 2);
         let mut server = CentralServer::new(&cfg, encoder(5)).unwrap();
         assert_eq!(server.model().unwrap().context_dimension(), 4); // d = 4
-    }
-
-    #[test]
-    fn ingest_shards_follow_the_configuration() {
-        let cfg = P2bConfig::new(4, 3).with_ingest_shards(3);
-        let server = CentralServer::new(&cfg, encoder(1)).unwrap();
-        assert_eq!(server.ingest_shards(), 3);
     }
 }

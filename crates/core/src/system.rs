@@ -230,8 +230,8 @@ impl P2bSystem {
 
     /// Folds one engine-delivered batch into the central model through the
     /// coalescing ingester: the batch is grouped by `(code, action)` and
-    /// dispatched to the model service's ingest shards as weighted
-    /// sufficient-statistics updates, so a batch of `N` reports over `K`
+    /// folded by the model service as weighted sufficient-statistics
+    /// updates, so a batch of `N` reports over `K`
     /// distinct pairs costs `K` matrix updates instead of `N`.
     ///
     /// # Errors
@@ -587,41 +587,5 @@ mod tests {
         );
         // A cold agent never holds a snapshot.
         assert!(system.make_cold_agent().unwrap().warm_snapshot().is_none());
-    }
-
-    #[test]
-    fn multi_shard_ingest_matches_single_shard_bit_for_bit() {
-        // The ingest-shard count must not change the served model: each arm
-        // is owned by exactly one shard and updated in submission order.
-        let run = |ingest_shards: usize| {
-            let mut rng = StdRng::seed_from_u64(21);
-            let config = P2bConfig::new(4, 3)
-                .with_local_interactions(1)
-                .with_shuffler_threshold(2)
-                .with_ingest_shards(ingest_shards);
-            let mut system = P2bSystem::new(config, encoder(0)).unwrap();
-            let reports = gather_reports(&mut system, &mut rng, 30);
-            let (stats, _) = system.streaming_round(reports, 5).unwrap();
-            let model = system.server_mut().model().unwrap().clone();
-            (stats, model)
-        };
-        let (stats_one, model_one) = run(1);
-        for shards in [2usize, 4] {
-            let (stats, model) = run(shards);
-            assert_eq!(stats, stats_one, "round stats drifted at {shards} shards");
-            for action in 0..3 {
-                let action = p2b_bandit::Action::new(action);
-                assert_eq!(
-                    model.design(action).unwrap(),
-                    model_one.design(action).unwrap(),
-                    "design drifted at {shards} ingest shards"
-                );
-                assert_eq!(
-                    model.reward_vector(action).unwrap(),
-                    model_one.reward_vector(action).unwrap()
-                );
-            }
-            assert_eq!(model.observations(), model_one.observations());
-        }
     }
 }

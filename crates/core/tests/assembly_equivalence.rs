@@ -1,19 +1,17 @@
 //! Equivalence pins for the incremental epoch assembly.
 //!
-//! Since the dirty-arm refactor the [`ModelService`] keeps a persistent
-//! assembled model and re-merges only the arms some shard folded updates
-//! into since the previous assembly. Two properties make that safe, and both
-//! are pinned here over random workloads:
+//! The [`ModelService`] keeps a persistent assembled model and re-merges
+//! only the arms an ingest folded updates into since the previous assembly.
+//! Two properties make that safe, and both are pinned here over random
+//! workloads:
 //!
-//! 1. **Bit-identity** — at every epoch, on every shard count, the
-//!    incremental [`ModelService::assemble_with_dirty`] must equal the
-//!    preserved from-scratch [`ModelService::assemble_reference`] bit for
-//!    bit (designs, reward vectors, pulls, thetas), and must be independent
-//!    of the shard count.
-//! 2. **Dirty-set conservation** — an arm appears in the returned dirty
-//!    union iff some shard folded an update into it since the previous
-//!    taking assembly (the first assembly reports everything dirtied since
-//!    spawn).
+//! 1. **Bit-identity** — at every epoch the incremental
+//!    [`ModelService::assemble_with_dirty`] must equal the preserved
+//!    from-scratch [`ModelService::assemble_reference`] bit for bit
+//!    (designs, reward vectors, pulls, thetas).
+//! 2. **Dirty-set conservation** — an arm appears in the returned dirty set
+//!    iff an ingest folded an update into it since the previous assembly
+//!    (the first assembly reports everything dirtied since construction).
 
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcbConfig};
 use p2b_core::ModelService;
@@ -85,9 +83,8 @@ fn check_bit_identical(left: &p2b_bandit::LinUcb, right: &p2b_bandit::LinUcb) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Across interleaved ingest/assemble epochs and shard counts {1, 2, 4},
-    /// the incremental assembly equals the from-scratch reference rebuild
-    /// bit for bit, and all shard counts agree with each other.
+    /// Across interleaved ingest/assemble epochs, the incremental assembly
+    /// equals the from-scratch reference rebuild bit for bit.
     #[test]
     fn incremental_assembly_matches_the_reference_at_every_epoch(
         seed in any::<u64>(),
@@ -95,55 +92,44 @@ proptest! {
         a in 1usize..7,
         epochs in 1usize..5,
     ) {
-        let mut services: Vec<ModelService> = [1usize, 2, 4]
-            .iter()
-            .map(|&shards| ModelService::spawn(LinUcbConfig::new(d, a), shards).unwrap())
-            .collect();
+        let mut service = ModelService::new(LinUcbConfig::new(d, a)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for epoch in 0..epochs {
             let len = rng.gen_range(1usize..12);
             let updates = random_updates(d, a, len, &mut rng);
-            let mut assembled_per_shard_count = Vec::new();
-            for service in &mut services {
-                service.ingest(updates.clone()).unwrap();
-                // The reference is taken first: it must not consume the
-                // shards' dirty tracking.
-                let reference = service.assemble_reference().unwrap();
-                let (incremental, _) = service.assemble_with_dirty().unwrap();
-                check_bit_identical(&reference, &incremental);
-                assembled_per_shard_count.push(incremental);
-            }
-            for other in &assembled_per_shard_count[1..] {
-                check_bit_identical(&assembled_per_shard_count[0], other);
-            }
+            service.ingest(&updates).unwrap();
+            // The reference is taken first: it must not consume the dirty
+            // tracking.
+            let reference = service.assemble_reference().unwrap();
+            let (incremental, _) = service.assemble_with_dirty().unwrap();
+            check_bit_identical(&reference, &incremental);
             prop_assert!(epoch < epochs);
         }
     }
 
-    /// An arm is re-merged iff some shard folded an update into it since the
-    /// previous taking assembly. The first assembly reports every arm
-    /// dirtied since spawn; an assembly with no interleaved ingest reports
-    /// an empty dirty set (and still serves the identical model).
+    /// An arm is re-merged iff an ingest folded an update into it since the
+    /// previous assembly. The first assembly reports every arm dirtied since
+    /// construction; an assembly with no interleaved ingest reports an empty
+    /// dirty set (and still serves the identical model).
     #[test]
     fn dirty_sets_conserve_the_touched_arms(
         seed in any::<u64>(),
         d in 1usize..4,
         a in 2usize..8,
-        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
         epochs in 1usize..5,
     ) {
-        let mut service = ModelService::spawn(LinUcbConfig::new(d, a), shards).unwrap();
+        let mut service = ModelService::new(LinUcbConfig::new(d, a)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..epochs {
             let len = rng.gen_range(1usize..10);
             let updates = random_updates(d, a, len, &mut rng);
             let expected: BTreeSet<usize> =
                 updates.iter().map(|u| u.action().index()).collect();
-            service.ingest(updates).unwrap();
+            service.ingest(&updates).unwrap();
             let (model, dirty) = service.assemble_with_dirty().unwrap();
             let dirty_set: BTreeSet<usize> = dirty.iter().copied().collect();
-            prop_assert_eq!(dirty.len(), dirty_set.len(), "dirty union must be deduplicated");
-            prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty union must be sorted");
+            prop_assert_eq!(dirty.len(), dirty_set.len(), "dirty set must be deduplicated");
+            prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty set must be sorted");
             prop_assert_eq!(&dirty_set, &expected);
 
             // No ingest in between → nothing dirty, identical model served.
@@ -160,7 +146,7 @@ proptest! {
 #[test]
 fn sparse_epochs_leave_clean_arm_statistics_untouched() {
     let (d, a) = (3usize, 6usize);
-    let mut service = ModelService::spawn(LinUcbConfig::new(d, a), 2).unwrap();
+    let mut service = ModelService::new(LinUcbConfig::new(d, a)).unwrap();
     let mut rng = StdRng::seed_from_u64(17);
 
     // Epoch 1: touch every arm so the baseline is warm.
@@ -169,14 +155,14 @@ fn sparse_epochs_leave_clean_arm_statistics_untouched() {
             CoalescedUpdate::new(random_context(d, &mut rng), Action::new(arm), 3, 2.0).unwrap()
         })
         .collect();
-    service.ingest(warm).unwrap();
+    service.ingest(&warm).unwrap();
     let (before, dirty) = service.assemble_with_dirty().unwrap();
     assert_eq!(dirty.len(), a);
 
     // Epoch 2: one update into arm 2 only.
     let sparse =
         vec![CoalescedUpdate::new(random_context(d, &mut rng), Action::new(2), 1, 1.0).unwrap()];
-    service.ingest(sparse).unwrap();
+    service.ingest(&sparse).unwrap();
     let (after, dirty) = service.assemble_with_dirty().unwrap();
     assert_eq!(dirty, vec![2]);
 

@@ -2,7 +2,7 @@
 //! shuffled batch by `(code, action)` and folding it as weighted sufficient
 //! statistics must accept exactly the reports the sequential per-report path
 //! accepts and produce the same central model up to floating-point rounding
-//! (1e-9), for any report ordering and any ingest-shard count.
+//! (1e-9), for any report ordering.
 //!
 //! The argument: LinUCB's per-arm statistics `A_a = λI + Σ x xᵀ` and
 //! `b_a = Σ r·x` are sums over the batch, so grouping commutes with folding
@@ -126,10 +126,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Coalesced ingestion matches sequential ingestion — same accepted
-    /// count, model parameters within 1e-9 — across batch orderings and
-    /// ingest-shard counts 1, 2 and 4.
+    /// count, model parameters within 1e-9 — across batch orderings.
     #[test]
-    fn coalesced_matches_sequential_across_orderings_and_shards(
+    fn coalesced_matches_sequential_across_orderings(
         reports in reports(),
         order_seed in any::<u64>(),
     ) {
@@ -138,21 +137,13 @@ proptest! {
         let mut sequential = CentralServer::new(&config, encoder()).unwrap();
         let accepted_sequential = sequential.ingest_batch(&batch).unwrap();
 
-        for shards in [1usize, 2, 4] {
-            let shard_config = config.clone().with_ingest_shards(shards);
-            let mut coalesced = CentralServer::new(&shard_config, encoder()).unwrap();
-            let accepted_coalesced = coalesced.ingest_batch_coalesced(&batch).unwrap();
-            prop_assert_eq!(
-                accepted_sequential, accepted_coalesced,
-                "acceptance must not depend on the ingestion path ({} shards)", shards
-            );
-            assert_models_close(
-                &mut sequential,
-                &mut coalesced,
-                1e-9,
-                &format!("{shards} shards"),
-            );
-        }
+        let mut coalesced = CentralServer::new(&config, encoder()).unwrap();
+        let accepted_coalesced = coalesced.ingest_batch_coalesced(&batch).unwrap();
+        prop_assert_eq!(
+            accepted_sequential, accepted_coalesced,
+            "acceptance must not depend on the ingestion path"
+        );
+        assert_models_close(&mut sequential, &mut coalesced, 1e-9, "coalesced");
     }
 
     /// A batch ordering is irrelevant to the coalesced fold: two different
@@ -164,7 +155,7 @@ proptest! {
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
     ) {
-        let config = P2bConfig::new(DIMENSION, NUM_ACTIONS).with_ingest_shards(2);
+        let config = P2bConfig::new(DIMENSION, NUM_ACTIONS);
         let mut a = CentralServer::new(&config, encoder()).unwrap();
         let mut b = CentralServer::new(&config, encoder()).unwrap();
         let accepted_a = a.ingest_batch_coalesced(&shuffled(&reports, seed_a)).unwrap();

@@ -46,10 +46,10 @@ use crate::{
     AnyPolicy, ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind,
     ScenarioShape,
 };
-use p2b_bandit::{Action, ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, CoalescedUpdate, LinUcb, LinUcbConfig, StatisticsCodec};
 use p2b_core::{DecisionTicket, RewardJoinBuffer, SecureIngestService};
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
-use p2b_linalg::{Matrix, Vector};
+use p2b_linalg::Vector;
 use p2b_privacy::{
     AmplificationLedger, Participation, RandomizedResponse, TreeAggregator, TreeConfig,
     ZcdpAccountant,
@@ -230,10 +230,8 @@ impl MatrixConfig {
     /// every other regime is policy-agnostic.
     #[must_use]
     pub fn cell_supported(regime: PrivacyRegime, policy: PolicyKind) -> bool {
-        !matches!(
-            regime,
-            PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg
-        ) || policy == PolicyKind::LinUcb
+        !matches!(regime, PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg)
+            || policy == PolicyKind::LinUcb
     }
 
     /// Total number of cells the matrix will run (unsupported
@@ -523,67 +521,7 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
     let num_actions = scenario.num_actions();
 
     let mut central = spec.policy.build(dimension, num_actions, config.alpha)?;
-    let encoder = if spec.regime.uses_encoder() {
-        let corpus = scenario.encoder_corpus(config.encoder_corpus_size, &mut rng);
-        Some(KMeansEncoder::fit(
-            &corpus,
-            KMeansConfig::new(config.num_codes).with_iterations(20),
-            &mut rng,
-        )?)
-    } else {
-        None
-    };
-    let randomizer = match spec.regime {
-        PrivacyRegime::LocalDp => Some(LocalDpRandomizer::new(
-            config.num_codes,
-            num_actions,
-            config.ldp_epsilon,
-        )?),
-        _ => None,
-    };
-    let mut curator = match spec.regime {
-        PrivacyRegime::CentralDp => {
-            if spec.policy != PolicyKind::LinUcb {
-                return Err(ExperimentError::InvalidConfig {
-                    parameter: "policy",
-                    message: format!(
-                        "the central-DP regime only serves LinUCB sufficient statistics, got {}",
-                        spec.policy
-                    ),
-                });
-            }
-            Some(CentralCurator::new(
-                dimension,
-                num_actions,
-                config.alpha,
-                config.num_users as u64,
-                spec.seed,
-            )?)
-        }
-        _ => None,
-    };
-    let mut curator_pending = 0usize;
-    let mut secure = match spec.regime {
-        PrivacyRegime::SecureAgg => {
-            if spec.policy != PolicyKind::LinUcb {
-                return Err(ExperimentError::InvalidConfig {
-                    parameter: "policy",
-                    message: format!(
-                        "the secure-aggregation regime only serves LinUCB sufficient statistics, \
-                         got {}",
-                        spec.policy
-                    ),
-                });
-            }
-            Some(SecureIngestService::new(
-                LinUcbConfig::new(dimension, num_actions).with_alpha(config.alpha),
-                SECURE_AGG_SHARDS,
-                spec.seed,
-            )?)
-        }
-        _ => None,
-    };
-    let mut secure_pending = 0usize;
+    let mut regime = RegimeState::build(config, spec, &mut scenario, &mut rng)?;
     let participation = Participation::new(config.participation)?;
     let mut ledger = AmplificationLedger::new(participation, config.delta_omega)?;
 
@@ -594,8 +532,6 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
     let mut round = 0u64;
     let mut shared_reports = 0u64;
     let mut submitted_reports = 0u64;
-    let mut pending: Vec<RawReport> = Vec::new();
-    let mut epoch = 0u64;
 
     let max_delay = spec.scenario.max_reward_delay();
     for user in 0..config.num_users {
@@ -646,14 +582,15 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
         let opportunity = rng.gen::<f64>() < participation.value();
         if let (true, Some((context, action, reward))) = (opportunity, last_joined) {
             submitted_reports += 1;
-            match spec.regime {
-                PrivacyRegime::NonPrivate => {
+            match &mut regime {
+                RegimeState::NonPrivate => {
                     central.update(&context, action, reward)?;
                     shared_reports += 1;
                 }
-                PrivacyRegime::LocalDp => {
-                    let encoder = encoder.as_ref().expect("LocalDp builds an encoder");
-                    let randomizer = randomizer.as_ref().expect("LocalDp builds a randomizer");
+                RegimeState::LocalDp {
+                    encoder,
+                    randomizer,
+                } => {
                     let code = encoder.encode(&context)?;
                     let (noisy_code, noisy_action, noisy_reward) = randomizer.randomize_report(
                         code.value(),
@@ -669,88 +606,98 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
                     )?;
                     shared_reports += 1;
                 }
-                PrivacyRegime::P2bShuffle => {
-                    let encoder = encoder.as_ref().expect("P2bShuffle builds an encoder");
+                RegimeState::P2bShuffle {
+                    encoder, pending, ..
+                } => {
                     let code = encoder.encode(&context)?;
                     pending.push(RawReport::new(
                         format!("user-{user}"),
                         EncodedReport::new(code.value(), action.index(), reward)?,
                     ));
                 }
-                PrivacyRegime::CentralDp => {
-                    let curator = curator.as_mut().expect("CentralDp builds a curator");
+                RegimeState::CentralDp { curator, pending } => {
                     curator.ingest(&context, action, reward)?;
-                    curator_pending += 1;
+                    *pending += 1;
                     shared_reports += 1;
                 }
-                PrivacyRegime::SecureAgg => {
-                    let service = secure.as_mut().expect("SecureAgg builds a service");
+                RegimeState::SecureAgg { service, pending } => {
                     // One report is a coalesced group of count 1; the
                     // service clips the context and clamps the reward
                     // exactly as the central-DP curator does.
-                    let update =
-                        CoalescedUpdate::new(context, action, 1, reward.clamp(0.0, 1.0))?;
+                    let update = CoalescedUpdate::new(context, action, 1, reward.clamp(0.0, 1.0))?;
                     service.ingest(&update)?;
-                    secure_pending += 1;
+                    *pending += 1;
                     shared_reports += 1;
                 }
             }
         }
 
-        if spec.regime == PrivacyRegime::CentralDp && curator_pending >= config.flush_every_reports
-        {
-            let curator = curator.as_ref().expect("CentralDp builds a curator");
-            central = AnyPolicy::LinUcb(curator.publish()?);
-            curator_pending = 0;
-        }
-
-        if spec.regime == PrivacyRegime::SecureAgg && secure_pending >= config.flush_every_reports {
-            let service = secure.as_mut().expect("SecureAgg builds a service");
-            central = AnyPolicy::LinUcb(service.assemble()?);
-            secure_pending = 0;
-        }
-
-        if spec.regime == PrivacyRegime::P2bShuffle && pending.len() >= config.flush_every_reports {
-            shared_reports += flush_through_engine(
-                config,
-                spec.seed ^ splitmix64(epoch.wrapping_add(1)),
-                &mut pending,
-                &mut central,
-                encoder.as_ref().expect("P2bShuffle builds an encoder"),
-                &mut ledger,
-            )?;
-            epoch += 1;
+        match &mut regime {
+            RegimeState::CentralDp { curator, pending }
+                if *pending >= config.flush_every_reports =>
+            {
+                central = AnyPolicy::LinUcb(curator.publish()?);
+                *pending = 0;
+            }
+            RegimeState::SecureAgg { service, pending }
+                if *pending >= config.flush_every_reports =>
+            {
+                central = AnyPolicy::LinUcb(service.assemble()?);
+                *pending = 0;
+            }
+            RegimeState::P2bShuffle {
+                encoder,
+                pending,
+                epoch,
+            } if pending.len() >= config.flush_every_reports => {
+                shared_reports += flush_through_engine(
+                    config,
+                    spec.seed ^ splitmix64(epoch.wrapping_add(1)),
+                    pending,
+                    &mut central,
+                    encoder,
+                    &mut ledger,
+                )?;
+                *epoch += 1;
+            }
+            _ => {}
         }
     }
 
-    if spec.regime == PrivacyRegime::P2bShuffle && !pending.is_empty() {
-        shared_reports += flush_through_engine(
-            config,
-            spec.seed ^ splitmix64(epoch.wrapping_add(1)),
-            &mut pending,
-            &mut central,
-            encoder.as_ref().expect("P2bShuffle builds an encoder"),
-            &mut ledger,
-        )?;
+    if let RegimeState::P2bShuffle {
+        encoder,
+        pending,
+        epoch,
+    } = &mut regime
+    {
+        if !pending.is_empty() {
+            shared_reports += flush_through_engine(
+                config,
+                spec.seed ^ splitmix64(epoch.wrapping_add(1)),
+                pending,
+                &mut central,
+                encoder,
+                &mut ledger,
+            )?;
+        }
     }
 
     if series.last().map(|p| p.round) != Some(round) {
         series.push(point(round, cumulative_reward, cumulative_regret));
     }
 
-    let (epsilon, delta) = match spec.regime {
-        PrivacyRegime::NonPrivate => (None, None),
-        PrivacyRegime::LocalDp => (Some(config.ldp_epsilon), Some(0.0)),
-        PrivacyRegime::P2bShuffle => (
+    let (epsilon, delta) = match &regime {
+        RegimeState::NonPrivate => (None, None),
+        RegimeState::LocalDp { .. } => (Some(config.ldp_epsilon), Some(0.0)),
+        RegimeState::P2bShuffle { .. } => (
             Some(ledger.per_report_epsilon()),
             Some(ledger.weakest().map_or(0.0, |w| w.guarantee.delta())),
         ),
-        PrivacyRegime::CentralDp => {
-            let curator = curator.as_ref().expect("CentralDp builds a curator");
+        RegimeState::CentralDp { curator, .. } => {
             (Some(curator.epsilon()?), Some(CENTRAL_TARGET_DELTA))
         }
         // A trust split, not a DP mechanism: there is no (ε, δ) to report.
-        PrivacyRegime::SecureAgg => (None, None),
+        RegimeState::SecureAgg { .. } => (None, None),
     };
     let batch_guarantees = ledger
         .records()
@@ -781,6 +728,116 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
         batch_guarantees,
         series,
     })
+}
+
+/// The per-regime state of one cell, built up front so the report and
+/// flush paths match on what the regime actually owns.
+enum RegimeState {
+    /// Raw tuples update the central policy directly.
+    NonPrivate,
+    /// Whole-report randomized response against the fitted encoder.
+    LocalDp {
+        encoder: KMeansEncoder,
+        randomizer: LocalDpRandomizer,
+    },
+    /// Encoded reports queue for the next shuffler-engine flush.
+    P2bShuffle {
+        encoder: KMeansEncoder,
+        pending: Vec<RawReport>,
+        /// Completed flushes; seeds the next flush's engine.
+        epoch: u64,
+    },
+    /// Raw tuples go to the trusted tree-aggregation curator.
+    CentralDp {
+        curator: CentralCurator,
+        /// Reports ingested since the last publish.
+        pending: usize,
+    },
+    /// Statistics leaves are secret-shared across aggregator shards.
+    SecureAgg {
+        service: SecureIngestService,
+        /// Reports ingested since the last assembly.
+        pending: usize,
+    },
+}
+
+impl RegimeState {
+    /// Builds the regime's state. Only the encoder-backed regimes draw from
+    /// `rng` (the k-means fit, right after the scenario build); the cell
+    /// goldens pin that draw order.
+    fn build(
+        config: &MatrixConfig,
+        spec: CellSpec,
+        scenario: &mut ScenarioData,
+        rng: &mut StdRng,
+    ) -> Result<Self, ExperimentError> {
+        let dimension = scenario.context_dimension();
+        let num_actions = scenario.num_actions();
+        let mut fit_encoder = |rng: &mut StdRng| -> Result<KMeansEncoder, ExperimentError> {
+            let corpus = scenario.encoder_corpus(config.encoder_corpus_size, rng);
+            Ok(KMeansEncoder::fit(
+                &corpus,
+                KMeansConfig::new(config.num_codes).with_iterations(20),
+                rng,
+            )?)
+        };
+        let require_linucb = |label: &str| {
+            if spec.policy == PolicyKind::LinUcb {
+                Ok(())
+            } else {
+                Err(ExperimentError::InvalidConfig {
+                    parameter: "policy",
+                    message: format!(
+                        "the {label} regime only serves LinUCB sufficient statistics, got {}",
+                        spec.policy
+                    ),
+                })
+            }
+        };
+        Ok(match spec.regime {
+            PrivacyRegime::NonPrivate => RegimeState::NonPrivate,
+            PrivacyRegime::LocalDp => {
+                let encoder = fit_encoder(rng)?;
+                RegimeState::LocalDp {
+                    encoder,
+                    randomizer: LocalDpRandomizer::new(
+                        config.num_codes,
+                        num_actions,
+                        config.ldp_epsilon,
+                    )?,
+                }
+            }
+            PrivacyRegime::P2bShuffle => RegimeState::P2bShuffle {
+                encoder: fit_encoder(rng)?,
+                pending: Vec::new(),
+                epoch: 0,
+            },
+            PrivacyRegime::CentralDp => {
+                require_linucb("central-DP")?;
+                RegimeState::CentralDp {
+                    curator: CentralCurator::new(
+                        dimension,
+                        num_actions,
+                        config.alpha,
+                        config.num_users as u64,
+                        spec.seed,
+                    )?,
+                    pending: 0,
+                }
+            }
+            PrivacyRegime::SecureAgg => {
+                require_linucb("secure-aggregation")?;
+                RegimeState::SecureAgg {
+                    service: SecureIngestService::new(
+                        LinUcbConfig::new(dimension, num_actions).with_alpha(config.alpha),
+                        SECURE_AGG_SHARDS,
+                        spec.seed,
+                    )?,
+                    pending: 0,
+                }
+            }
+        })
+    }
 }
 
 /// On-device randomizer of the LDP baseline: the full `(y, a, r)` report is
@@ -830,14 +887,12 @@ impl LocalDpRandomizer {
 
 /// The trusted curator of the central-DP regime.
 ///
-/// It keeps one [`TreeAggregator`] per arm over leaf vectors
-/// `[vec(x xᵀ), r·x, 1]` (dimension `d² + d + 1`), with contexts clipped to
-/// the unit L2 ball so one leaf has sensitivity at most
-/// [`CENTRAL_LEAF_SENSITIVITY`]. A published model is rebuilt from the noisy
-/// prefix releases: the Gram block is symmetrized and ridge-shifted until
-/// the design matrix is positive definite (Shariff & Sheffet 2018's
-/// shifted-regularizer repair), then folded into a fresh [`LinUcb`] via
-/// [`LinUcb::from_sufficient_statistics`].
+/// It keeps one [`TreeAggregator`] per arm over the [`StatisticsCodec`]'s
+/// leaves `[vec(x xᵀ), r·x, 1]` (dimension `d² + d + 1`), with contexts
+/// clipped to the unit L2 ball so one leaf has sensitivity at most
+/// [`CENTRAL_LEAF_SENSITIVITY`]. A published model is the codec's decode of
+/// the noisy prefix releases: symmetrize, ridge-repair to positive definite
+/// (Shariff & Sheffet 2018's shifted-regularizer repair), fold.
 ///
 /// Privacy accounting is the binary mechanism's: one user's single report is
 /// a single leaf, covered by at most `nodes_per_leaf` noisy partial sums, so
@@ -847,10 +902,9 @@ impl LocalDpRandomizer {
 /// published. All noise is counter-based ([`TreeAggregator::node_noise`]),
 /// so cells stay bit-deterministic at any worker count.
 struct CentralCurator {
-    config: LinUcbConfig,
+    codec: StatisticsCodec,
     trees: Vec<TreeAggregator>,
     accountant: ZcdpAccountant,
-    ingested: u64,
 }
 
 impl CentralCurator {
@@ -861,11 +915,12 @@ impl CentralCurator {
         horizon: u64,
         seed: u64,
     ) -> Result<Self, ExperimentError> {
-        let leaf_dim = dimension * dimension + dimension + 1;
+        let codec =
+            StatisticsCodec::new(LinUcbConfig::new(dimension, num_actions).with_alpha(alpha))?;
         let trees = (0..num_actions)
             .map(|arm| {
                 TreeAggregator::new(TreeConfig::new(
-                    leaf_dim,
+                    codec.leaf_dimension(),
                     horizon,
                     CENTRAL_SIGMA,
                     splitmix64(seed ^ (arm as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
@@ -876,13 +931,18 @@ impl CentralCurator {
         // The whole stream's cost is fixed upfront by (σ, T): every leaf is
         // covered by at most nodes_per_leaf noisy nodes, regardless of how
         // many prefixes are later released.
-        let rho = trees[0].rho_per_leaf(CENTRAL_LEAF_SENSITIVITY)?;
+        let first = trees
+            .first()
+            .ok_or_else(|| ExperimentError::InvalidConfig {
+                parameter: "num_actions",
+                message: "the central-DP curator needs at least one arm".to_owned(),
+            })?;
+        let rho = first.rho_per_leaf(CENTRAL_LEAF_SENSITIVITY)?;
         accountant.spend_rho(rho, "tree_stream")?;
         Ok(Self {
-            config: LinUcbConfig::new(dimension, num_actions).with_alpha(alpha),
+            codec,
             trees,
             accountant,
-            ingested: 0,
         })
     }
 
@@ -893,68 +953,26 @@ impl CentralCurator {
         action: Action,
         reward: f64,
     ) -> Result<(), ExperimentError> {
-        let d = self.config.context_dimension;
-        let norm = context.norm2();
-        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-        let mut leaf = vec![0.0f64; d * d + d + 1];
-        for i in 0..d {
-            let xi = context[i] * scale;
-            for j in 0..d {
-                leaf[i * d + j] = xi * (context[j] * scale);
-            }
-            leaf[d * d + i] = reward.clamp(0.0, 1.0) * xi;
-        }
-        leaf[d * d + d] = 1.0;
-        self.trees[action.index()].push(&leaf)?;
-        self.ingested += 1;
+        let leaf = self.codec.encode(context, 1, reward)?;
+        let num_actions = self.trees.len();
+        let tree =
+            self.trees
+                .get_mut(action.index())
+                .ok_or(p2b_bandit::BanditError::InvalidAction {
+                    action: action.index(),
+                    num_actions,
+                })?;
+        tree.push(&leaf)?;
         Ok(())
     }
 
     /// Rebuilds a servable model from the current noisy prefix releases.
     fn publish(&self) -> Result<LinUcb, ExperimentError> {
-        let d = self.config.context_dimension;
-        let mut statistics = Vec::with_capacity(self.trees.len());
+        let mut sums = Vec::with_capacity(self.trees.len() * self.codec.leaf_dimension());
         for tree in &self.trees {
-            let release = tree.release();
-            let mut gram = Matrix::zeros(d, d);
-            for i in 0..d {
-                for j in 0..d {
-                    // Symmetrize: noise is not symmetric even though x xᵀ is.
-                    gram.set(i, j, (release[i * d + j] + release[j * d + i]) / 2.0);
-                }
-            }
-            let reward_vector = Vector::from(release[d * d..d * d + d].to_vec());
-            let pulls = release[d * d + d].round().max(0.0) as u64;
-            // Escalating ridge shift until the noisy Gram is positive
-            // definite; doubling terminates quickly because the shift soon
-            // dominates the largest negative eigenvalue.
-            let mut boost = 0.0f64;
-            let statistics_for_arm = loop {
-                let mut design = gram.clone();
-                for i in 0..d {
-                    design.set(i, i, design.get(i, i) + self.config.regularizer + boost);
-                }
-                match p2b_linalg::RankOneInverse::from_matrix(&design) {
-                    Ok(_) => {
-                        break ArmStatistics {
-                            design,
-                            reward_vector: reward_vector.clone(),
-                            pulls,
-                        }
-                    }
-                    Err(e) if boost < 1e12 => {
-                        let _ = e;
-                        boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
-                    }
-                    Err(e) => return Err(p2b_bandit::BanditError::from(e).into()),
-                }
-            };
-            statistics.push(statistics_for_arm);
+            sums.extend(tree.release());
         }
-        Ok(LinUcb::from_sufficient_statistics(
-            self.config,
-            &statistics,
-        )?)
+        Ok(self.codec.decode(&sums)?)
     }
 
     /// The (ε at [`CENTRAL_TARGET_DELTA`]) of the whole release stream.

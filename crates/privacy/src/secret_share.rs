@@ -93,7 +93,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// Returns [`PrivacyError::InvalidParameter`] for non-finite values and for
 /// values outside ±[`FIXED_POINT_MAX_ABS`] — out-of-range inputs error
 /// rather than wrap, so the accumulator headroom budget documented in the
-/// [module docs](self) holds everywhere downstream.
+/// module docs holds everywhere downstream.
 pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
     if !value.is_finite() {
         return Err(PrivacyError::InvalidParameter {
@@ -104,9 +104,7 @@ pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
     if value.abs() > FIXED_POINT_MAX_ABS {
         return Err(PrivacyError::InvalidParameter {
             name: "value",
-            message: format!(
-                "fixed-point dynamic range is ±{FIXED_POINT_MAX_ABS}, got {value}"
-            ),
+            message: format!("fixed-point dynamic range is ±{FIXED_POINT_MAX_ABS}, got {value}"),
         });
     }
     // |value| ≤ 2^14 ⇒ |value · 2^48| ≤ 2^62, exactly representable in f64
@@ -135,7 +133,7 @@ pub fn recombine(shares: &[i128]) -> i128 {
 /// Splits fixed-point values into `k` additive shares with counter-based
 /// mask lanes.
 ///
-/// See the [module docs](self) for the construction and its determinism and
+/// See the module docs for the construction and its determinism and
 /// trust-model properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecretSharer {
@@ -185,10 +183,16 @@ impl SecretSharer {
         let base = splitmix64(
             self.seed ^ splitmix64(counter.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1)),
         );
-        let base =
-            splitmix64(base ^ (coord as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(2));
-        let base =
-            splitmix64(base ^ (shard as u64).wrapping_mul(0xD605_0000_0B50_0B51).wrapping_add(3));
+        let base = splitmix64(
+            base ^ (coord as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(2),
+        );
+        let base = splitmix64(
+            base ^ (shard as u64)
+                .wrapping_mul(0xD605_0000_0B50_0B51)
+                .wrapping_add(3),
+        );
         let hi = splitmix64(base ^ 0x5EC2_E75A_6017_8A21);
         let lo = splitmix64(base ^ 0x94D0_49BB_1331_11EB);
         ((u128::from(hi) << 64) | u128::from(lo)) as i128
@@ -267,7 +271,7 @@ mod tests {
 
     #[test]
     fn quantization_error_is_bounded_by_half_a_grid_step() {
-        for value in [0.1, -0.3, 3.14159, 12345.6789, -0.000_123] {
+        for value in [0.1, -0.3, std::f64::consts::PI, 12345.6789, -0.000_123] {
             let round_trip = decode_fixed(encode_fixed(value).unwrap());
             assert!((round_trip - value).abs() <= 0.5 / FIXED_POINT_SCALE);
         }
@@ -283,8 +287,7 @@ mod tests {
     fn split_recombine_is_the_identity_at_every_shard_count() {
         for shards in [1usize, 2, 3, 4, 7] {
             let sharer = SecretSharer::new(99, shards).unwrap();
-            for (counter, value) in [(0u64, 0i128), (1, 1 << 48), (2, -(1 << 60)), (3, i128::MAX)]
-            {
+            for (counter, value) in [(0u64, 0i128), (1, 1 << 48), (2, -(1 << 60)), (3, i128::MAX)] {
                 let shares = sharer.split(counter, 5, value);
                 assert_eq!(shares.len(), shards);
                 assert_eq!(recombine(&shares), value, "shards={shards}");

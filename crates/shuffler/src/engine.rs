@@ -1,9 +1,8 @@
 //! The sharded, batched shuffler engine.
 //!
-//! [`ShufflerPipeline`](crate::ShufflerPipeline) processes one report at a
-//! time on a single worker thread, which caps throughput well below a
-//! serving-scale deployment. The [`ShufflerEngine`] replaces that single
-//! lane with a two-stage design:
+//! A single shuffler lane processing one report at a time caps throughput
+//! well below a serving-scale deployment. The [`ShufflerEngine`] replaces
+//! that single lane with a two-stage design:
 //!
 //! ```text
 //!  producers ──submit──▶ shard 0 ─┐
@@ -242,9 +241,9 @@ pub struct EngineOutput {
 /// A sharded, batched, multi-threaded shuffler.
 ///
 /// See the [module documentation](self) for the stage diagram and the
-/// design rationale. The engine value itself is a passive description (like
-/// [`ShufflerPipeline`](crate::ShufflerPipeline)); [`ShufflerEngine::spawn`]
-/// starts the shard workers and the merger and returns a handle.
+/// design rationale. The engine value itself is a passive description;
+/// [`ShufflerEngine::spawn`] starts the shard workers and the merger and
+/// returns a handle.
 ///
 /// # Examples
 ///
@@ -734,8 +733,53 @@ mod tests {
             handle.submit(raw(i % 2)).unwrap();
         }
         let output = handle.finish();
-        let total: usize = output.batches.iter().map(|b| b.batch.stats().received).sum();
+        let total: usize = output
+            .batches
+            .iter()
+            .map(|b| b.batch.stats().received)
+            .sum();
         assert_eq!(total, 9);
+    }
+
+    #[test]
+    fn thresholding_applies_per_batch() {
+        // One shard, batch of 6: code 0 x4 (released), code 1 x2 (dropped).
+        let handle = engine(3, 1, 6).spawn(8);
+        for _ in 0..4 {
+            handle.submit(raw(0)).unwrap();
+        }
+        for _ in 0..2 {
+            handle.submit(raw(1)).unwrap();
+        }
+        let output = handle.finish();
+        assert_eq!(output.batches.len(), 1);
+        let batch = &output.batches[0].batch;
+        assert_eq!(batch.reports().len(), 4);
+        assert!(batch.reports().iter().all(|r| r.code() == 0));
+        assert_eq!(batch.stats().dropped, 2);
+    }
+
+    #[test]
+    fn drain_ready_returns_completed_batches_without_closing() {
+        let handle = engine(1, 1, 2).spawn(12);
+        handle.submit(raw(0)).unwrap();
+        handle.submit(raw(1)).unwrap();
+        // Give the workers a moment to deliver the full batch.
+        let mut drained = Vec::new();
+        for _ in 0..200 {
+            drained = handle.drain_ready();
+            if !drained.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].batch.stats().received, 2);
+        // The handle is still usable afterwards.
+        handle.submit(raw(2)).unwrap();
+        let rest = handle.finish();
+        assert_eq!(rest.batches.len(), 1);
+        assert_eq!(rest.batches[0].index, 1);
     }
 
     #[test]

@@ -14,15 +14,11 @@
 //!    than `threshold` times in the batch are removed, enforcing the
 //!    crowd-blending parameter `l`.
 //!
-//! Three execution shapes share that contract:
+//! Two execution shapes share that contract:
 //!
 //! * [`Shuffler`] — synchronous, single batch per call; what the
 //!   single-threaded simulation harness and the golden determinism tests
 //!   use.
-//! * [`ShufflerPipeline`] — one background worker fed through a crossbeam
-//!   channel; the original streaming shape, kept for single-lane
-//!   deployments and as the baseline the throughput benchmarks compare
-//!   against.
 //! * [`ShufflerEngine`] — the sharded, batched engine: reports are
 //!   partitioned across N shard workers (by hashing the anonymous batch
 //!   slot, never the sender), shuffled within and across shards through a
@@ -30,7 +26,7 @@
 //!   per-batch (ε, δ) amplification records. See [`engine`] for the stage
 //!   diagram. This is the serving-scale path.
 //!
-//! A fourth shape drops the trusted-shuffler assumption altogether for the
+//! A third shape drops the trusted-shuffler assumption altogether for the
 //! sufficient-statistics ingest path: the [`SecureAggEngine`] aggregates
 //! additively secret-shared fixed-point contributions across `k`
 //! independent shard workers, none of which ever sees a plaintext value;
@@ -60,7 +56,6 @@
 
 pub mod engine;
 mod error;
-mod pipeline;
 mod report;
 pub mod secure;
 mod shard;
@@ -70,7 +65,6 @@ pub use engine::{
     splitmix64, EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine,
 };
 pub use error::ShufflerError;
-pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
-pub use pipeline::{PipelineHandle, ShufflerPipeline};
 pub use report::{EncodedReport, RawReport, ReportMetadata};
+pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

@@ -1,10 +1,10 @@
-//! Concurrency exactness suite for the streaming shufflers: many producer
-//! threads feed a pipeline or a sharded engine, and the released set must be
-//! exactly the threshold-surviving multiset — no report lost, none
-//! duplicated, none leaked below threshold. The engine tests repeat every
-//! claim for shards ∈ {1, 2, 4}.
+//! Concurrency exactness suite for the streaming shuffler engine: many
+//! producer threads feed it, and the released set must be exactly the
+//! threshold-surviving multiset — no report lost, none duplicated, none
+//! leaked below threshold. The single-lane claims run at one shard; the
+//! sharded claims repeat for shards ∈ {1, 2, 4}.
 
-use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine, ShufflerPipeline};
+use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
 use std::collections::HashMap;
 
 fn raw(agent: usize, code: usize) -> RawReport {
@@ -21,6 +21,20 @@ fn frequencies(codes: impl Iterator<Item = usize>) -> HashMap<usize, usize> {
         *map.entry(code).or_insert(0) += 1;
     }
     map
+}
+
+/// A one-shard engine: the single shuffling lane.
+fn single_lane(threshold: usize, batch_size: usize) -> ShufflerEngine {
+    ShufflerEngine::builder(ShufflerConfig::new(threshold))
+        .shards(1)
+        .batch_size(batch_size)
+        .build()
+        .expect("valid engine")
+}
+
+/// The shuffled batches of a finished run, in delivery order.
+fn released_batches(output: p2b_shuffler::EngineOutput) -> Vec<p2b_shuffler::ShuffledBatch> {
+    output.batches.into_iter().map(|b| b.batch).collect()
 }
 
 #[test]
@@ -43,9 +57,7 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
         }
     };
 
-    let pipeline =
-        ShufflerPipeline::new(ShufflerConfig::new(THRESHOLD), TOTAL).expect("valid pipeline");
-    let handle = pipeline.spawn(99);
+    let handle = single_lane(THRESHOLD, TOTAL).spawn(99);
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -53,12 +65,12 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
                 for i in 0..REPORTS_PER_PRODUCER {
                     handle_ref
                         .submit(raw(producer, code_of(i)))
-                        .expect("pipeline accepts submissions while open");
+                        .expect("engine accepts submissions while open");
                 }
             });
         }
     });
-    let batches = handle.finish();
+    let batches = released_batches(handle.finish());
 
     // All submissions land in a single full batch.
     assert_eq!(batches.len(), 1);
@@ -102,8 +114,7 @@ fn per_batch_thresholding_still_conserves_received_counts() {
     const PRODUCERS: usize = 4;
     const REPORTS_PER_PRODUCER: usize = 100;
 
-    let pipeline = ShufflerPipeline::new(ShufflerConfig::new(5), 32).expect("valid pipeline");
-    let handle = pipeline.spawn(7);
+    let handle = single_lane(5, 32).spawn(7);
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -111,12 +122,12 @@ fn per_batch_thresholding_still_conserves_received_counts() {
                 for i in 0..REPORTS_PER_PRODUCER {
                     handle_ref
                         .submit(raw(producer, i % 7))
-                        .expect("pipeline accepts submissions while open");
+                        .expect("engine accepts submissions while open");
                 }
             });
         }
     });
-    let batches = handle.finish();
+    let batches = released_batches(handle.finish());
     let received: usize = batches.iter().map(|b| b.stats().received).sum();
     let accounted: usize = batches
         .iter()

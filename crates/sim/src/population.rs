@@ -270,8 +270,7 @@ mod tests {
             .with_local_interactions(2)
             .with_shuffler_threshold(1)
             .with_shuffler_shards(shards)
-            .with_shuffler_batch_size(32)
-            .with_ingest_shards(shards);
+            .with_shuffler_batch_size(32);
         P2bSystem::new(config, encoder).unwrap()
     }
 

@@ -12,9 +12,8 @@
 //!
 //! Model-side, every delivered batch goes through the coalescing ingester
 //! ([`p2b_core::P2bSystem::ingest_engine_batch`]): reports are grouped by
-//! `(code, action)` and dispatched to the model service's ingest shards
-//! ([`p2b_core::P2bConfig::ingest_shards`]) as weighted sufficient-statistics
-//! updates, and the agents created for the wave all share the epoch's
+//! `(code, action)` and folded into the central model as weighted
+//! sufficient-statistics updates, and the agents created for the wave all share the epoch's
 //! central-model snapshot instead of merging their own copy.
 
 use crate::{parallel_map, PopulationRoundPoint, SimError};
@@ -342,10 +341,7 @@ mod tests {
             .with_local_interactions(2)
             .with_shuffler_threshold(threshold)
             .with_shuffler_shards(shards)
-            .with_shuffler_batch_size(32)
-            // Scale the model service together with the shuffler so the
-            // wave exercises the full sharded ingestion path.
-            .with_ingest_shards(shards);
+            .with_shuffler_batch_size(32);
         P2bSystem::new(config, encoder).unwrap()
     }
 
